@@ -334,7 +334,12 @@ func connect(addr string, shards, objects int, ds string, seed int64, chaos, edg
 				if err != nil {
 					return nil, err
 				}
-				return wire.NewBinaryClientConnRole(conn, wire.RoleEdge)
+				bc, err := wire.NewBinaryClientConnRole(conn, wire.RoleEdge)
+				if err != nil {
+					conn.Close()
+					return nil, err
+				}
+				return bc, nil
 			})
 			if err != nil {
 				b.close()

@@ -8,54 +8,20 @@
 //	go run ./cmd/prodb -addr :7001 &
 //	go run ./examples/netclient -addr 127.0.0.1:7001
 //
-// With -clients N it becomes a small load generator: N concurrent clients,
-// each on its own TCP connection, hammer the server and print aggregate
-// throughput — a quick way to watch the concurrent serving layer work.
-//
-// With -pipeline the N clients instead share ONE TCP connection: the binary
-// protocol tags every request with a correlation id, so all N clients keep
-// their queries in flight simultaneously and the server answers out of
-// order. Comparing the two modes on the same -clients count shows what
-// request pipelining buys over the serial one-round-trip-at-a-time path:
-//
-//	go run ./examples/netclient -clients 32            # 32 connections
-//	go run ./examples/netclient -clients 32 -pipeline  # 1 connection
-//
-// With -updates M the load test becomes a mixed read/write measurement: M
-// updater connections stream batched MoveObject operations (the wire
-// protocol's Request.Updates message) while the query clients run, and the
-// tool reports query p50/p99 latency both without and with the update
-// stream — the snapshot-isolated server is expected to hold query latency
-// nearly flat:
-//
-//	go run ./examples/netclient -clients 16 -queries 200 -updates 4
+// To put a server under load, use cmd/proload (-addr for a live prodb).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro"
-	"repro/internal/geom"
-	"repro/internal/query"
-	"repro/internal/wire"
 )
 
 func main() {
 	addr := flag.String("addr", "", "connect to an existing prodb server instead of self-hosting")
-	clients := flag.Int("clients", 1, "concurrent clients (each on its own connection)")
-	queries := flag.Int("queries", 50, "queries per client in multi-client mode")
-	pipeline := flag.Bool("pipeline", false, "multiplex all clients over one pipelined connection")
-	updaters := flag.Int("updates", 0, "updater connections streaming batched moves (mixed read/write mode)")
-	updBatch := flag.Int("upd-batch", 32, "move operations per update request in -updates mode")
-	updRate := flag.Int("upd-rate", 10, "update requests per second per updater (0 = unthrottled saturation test)")
 	flag.Parse()
 
 	target := *addr
@@ -69,15 +35,6 @@ func main() {
 		go func() { _ = srv.Serve(ln) }()
 		target = ln.Addr().String()
 		fmt.Printf("self-hosted server on %s\n", target)
-	}
-
-	if *updaters > 0 {
-		mixedLoad(target, *clients, *queries, *updaters, *updBatch, *updRate)
-		return
-	}
-	if *clients > 1 {
-		loadTest(target, *clients, *queries, *pipeline)
-		return
 	}
 
 	transport, err := repro.Dial(target)
@@ -109,248 +66,4 @@ func main() {
 	}
 	fmt.Printf("range around the warm spot: %d results, hit=%3.0f%%\n",
 		len(rep.Results), rep.HitRate()*100)
-}
-
-// loadTest runs n concurrent clients over real TCP and prints aggregate
-// throughput. With pipeline set, all clients share one pipelined binary
-// connection (requests in flight are correlated by id); otherwise each
-// client dials its own connection and round-trips serially.
-func loadTest(target string, n, queriesPer int, pipeline bool) {
-	mode := fmt.Sprintf("%d connections", n)
-	var shared repro.Transport
-	if pipeline {
-		mode = "1 pipelined connection"
-		var err error
-		if shared, err = repro.Dial(target); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Printf("load test: %d clients x %d queries against %s (%s)\n", n, queriesPer, target, mode)
-	var done, local atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < n; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			transport := shared
-			if transport == nil {
-				var err error
-				if transport, err = repro.Dial(target); err != nil {
-					log.Printf("client %d: %v", c, err)
-					return
-				}
-			}
-			cl, err := repro.NewClient(transport, repro.ClientConfig{
-				ID:         uint32(c + 1),
-				CacheBytes: 1 << 20,
-			})
-			if err != nil {
-				log.Printf("client %d: %v", c, err)
-				return
-			}
-			r := rand.New(rand.NewSource(int64(c + 1)))
-			for i := 0; i < queriesPer; i++ {
-				p := repro.Pt(r.Float64(), r.Float64())
-				var rep repro.Report
-				if i%2 == 0 {
-					rep, err = cl.Query(repro.NewRange(repro.RectFromCenter(p, 0.02, 0.02)))
-				} else {
-					rep, err = cl.Query(repro.NewKNN(p, 4))
-				}
-				if err != nil {
-					log.Printf("client %d query %d: %v", c, i, err)
-					return
-				}
-				done.Add(1)
-				if rep.LocalOnly {
-					local.Add(1)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	fmt.Printf("%d queries in %v (%.0f q/s), %d answered fully from cache\n",
-		done.Load(), elapsed.Round(time.Millisecond),
-		float64(done.Load())/elapsed.Seconds(), local.Load())
-}
-
-// q32rect quantizes a rectangle to the wire's float32 precision: an updater
-// must remember exactly what the server stored, or its next move's From
-// rectangle will not match the indexed entry.
-func q32rect(r geom.Rect) geom.Rect {
-	q := func(v float64) float64 { return float64(float32(v)) }
-	return geom.Rect{MinX: q(r.MinX), MinY: q(r.MinY), MaxX: q(r.MaxX), MaxY: q(r.MaxY)}
-}
-
-// percentile returns the p-th percentile of sorted durations.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// queryPhase runs n query workers, each on its own connection, issuing
-// wire-level range/kNN requests and timing every round trip. It returns the
-// sorted latencies and the aggregate throughput.
-func queryPhase(target string, workers, queriesPer int) ([]time.Duration, float64) {
-	var mu sync.Mutex
-	var all []time.Duration
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < workers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			transport, err := repro.Dial(target)
-			if err != nil {
-				log.Printf("query worker %d: %v", c, err)
-				return
-			}
-			r := rand.New(rand.NewSource(int64(1000 + c)))
-			lats := make([]time.Duration, 0, queriesPer)
-			var epoch uint64 // a live client tracks the server epoch
-			for i := 0; i < queriesPer; i++ {
-				p := geom.Pt(r.Float64(), r.Float64())
-				var q query.Query
-				if i%2 == 0 {
-					q = query.NewRange(geom.RectFromCenter(p, 0.02, 0.02))
-				} else {
-					q = query.NewKNN(p, 4)
-				}
-				t0 := time.Now()
-				resp, err := transport.RoundTrip(&wire.Request{Client: wire.ClientID(c + 1), Q: q, Epoch: epoch})
-				if err != nil {
-					log.Printf("query worker %d: %v", c, err)
-					return
-				}
-				epoch = resp.Epoch
-				lats = append(lats, time.Since(t0))
-			}
-			mu.Lock()
-			all = append(all, lats...)
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	qps := float64(len(all)) / time.Since(start).Seconds()
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return all, qps
-}
-
-// mixedLoad measures query latency with and without a concurrent update
-// stream. Each updater owns a private flock of objects: it inserts them once,
-// then streams paced batches of moves (Request.Updates) over its own
-// connection until the query phase completes. The default pacing models a
-// sustained moving-object feed; -upd-rate 0 removes the throttle and turns
-// the run into a saturation test of the writer instead.
-func mixedLoad(target string, clients, queriesPer, updaters, updBatch, updRate int) {
-	if clients < 1 {
-		clients = 1
-	}
-	fmt.Printf("mixed load: %d query clients x %d queries, %d updaters (%d moves/request, %d req/s each)\n",
-		clients, queriesPer, updaters, updBatch, updRate)
-
-	base, qps := queryPhase(target, clients, queriesPer)
-	fmt.Printf("no updates:   %6.0f q/s   p50 %8v   p99 %8v\n",
-		qps, percentile(base, 0.50).Round(time.Microsecond), percentile(base, 0.99).Round(time.Microsecond))
-
-	stop := make(chan struct{})
-	var updOps atomic.Int64
-	var uwg, ready sync.WaitGroup
-	ready.Add(updaters)
-	for u := 0; u < updaters; u++ {
-		uwg.Add(1)
-		go func(u int) {
-			defer uwg.Done()
-			inserted := false
-			defer func() {
-				if !inserted {
-					ready.Done() // errored out before finishing the flock
-				}
-			}()
-			transport, err := repro.Dial(target)
-			if err != nil {
-				log.Printf("updater %d: %v", u, err)
-				return
-			}
-			r := rand.New(rand.NewSource(int64(5000 + u)))
-			const flock = 512
-			baseID := uint32(1<<20 + u*flock)
-			rects := make([]geom.Rect, flock)
-			ops := make([]wire.UpdateOp, 0, updBatch)
-			for i := range rects {
-				rects[i] = q32rect(geom.RectFromCenter(geom.Pt(r.Float64(), r.Float64()), 0.001, 0.001))
-				ops = append(ops, wire.UpdateOp{
-					Kind: wire.UpdateInsert, Obj: repro.ObjectID(baseID + uint32(i)),
-					To: rects[i], Size: 256,
-				})
-				if len(ops) == updBatch || i == flock-1 {
-					if _, err := transport.RoundTrip(&wire.Request{Updates: ops}); err != nil {
-						log.Printf("updater %d insert: %v", u, err)
-						return
-					}
-					ops = ops[:0]
-				}
-			}
-			inserted = true
-			ready.Done() // flock in place; the measured phase may start
-			var tick *time.Ticker
-			if updRate > 0 {
-				tick = time.NewTicker(time.Second / time.Duration(updRate))
-				defer tick.Stop()
-			}
-			next := 0
-			for {
-				if tick != nil {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-					}
-				} else {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-				ops = ops[:0]
-				for k := 0; k < updBatch; k++ {
-					i := next % flock
-					next++
-					to := q32rect(geom.RectFromCenter(geom.Pt(r.Float64(), r.Float64()), 0.001, 0.001))
-					ops = append(ops, wire.UpdateOp{
-						Kind: wire.UpdateMove, Obj: repro.ObjectID(baseID + uint32(i)),
-						From: rects[i], To: to,
-					})
-					rects[i] = to
-				}
-				resp, err := transport.RoundTrip(&wire.Request{Updates: ops})
-				if err != nil {
-					log.Printf("updater %d: %v", u, err)
-					return
-				}
-				for k, ok := range resp.UpdateResults {
-					if !ok {
-						log.Printf("updater %d: move %d rejected", u, k)
-						return
-					}
-				}
-				updOps.Add(int64(len(ops)))
-			}
-		}(u)
-	}
-
-	ready.Wait() // every updater's flock is inserted; measure moves only
-	updStart := time.Now()
-	mixed, mqps := queryPhase(target, clients, queriesPer)
-	close(stop)
-	uwg.Wait()
-	sustained := float64(updOps.Load()) / time.Since(updStart).Seconds()
-	fmt.Printf("with updates: %6.0f q/s   p50 %8v   p99 %8v   (%.0f moves/s sustained)\n",
-		mqps, percentile(mixed, 0.50).Round(time.Microsecond), percentile(mixed, 0.99).Round(time.Microsecond), sustained)
 }

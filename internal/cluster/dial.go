@@ -12,7 +12,7 @@ import (
 
 // Dial connects a client-side router to independently served shard
 // processes (one prodb per shard): each address is dialed with the binary
-// protocol (gob fallback), and the returned Router scatter-gathers across
+// protocol, and the returned Router scatter-gathers across
 // the live connections exactly like an in-process cluster.
 //
 // When cfg.Part is nil, a partition is derived from the shards' cataloged
@@ -35,7 +35,9 @@ import (
 // lands. Only the initial dial of every address is all-or-nothing.
 //
 // Each connection's protocol handshake is bounded by cfg.HandshakeTimeout
-// (default 10s), applied to both the TCP dial and the version exchange.
+// (default 10s), applied to both the TCP dial and the version exchange. A
+// peer that fails the handshake fails the dial with an error wrapping
+// wire.ErrProtocolMismatch.
 func Dial(addrs []string, cfg Config) (*Router, error) {
 	hto := cfg.HandshakeTimeout
 	if hto <= 0 {
@@ -85,8 +87,8 @@ func Dial(addrs []string, cfg Config) (*Router, error) {
 // connection when Config.HandshakeTimeout is unset.
 const defaultHandshakeTimeout = 10 * time.Second
 
-// dialShard mirrors repro.Dial: binary with pipelining, gob as fallback.
-// The whole connect-and-handshake runs under one context deadline so a
+// dialShard mirrors repro.Dial: the binary protocol with pipelining. The
+// whole connect-and-handshake runs under one context deadline so a
 // half-open peer can't stall the router longer than the configured bound.
 func dialShard(addr string, timeout time.Duration) (wire.Transport, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -99,19 +101,12 @@ func dialShard(addr string, timeout time.Duration) (wire.Transport, error) {
 	}
 	conn.SetDeadline(deadline)
 	bc, err := wire.NewBinaryClientConn(conn)
-	if err == nil {
-		conn.SetDeadline(time.Time{})
-		return bc, nil
-	}
-	conn.Close()
-	conn, err = d.DialContext(ctx, "tcp", addr)
 	if err != nil {
+		conn.Close()
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	conn.SetDeadline(deadline)
-	gc := wire.NewClientConn(conn)
 	conn.SetDeadline(time.Time{})
-	return gc, nil
+	return bc, nil
 }
 
 func closeTransport(t wire.Transport) {

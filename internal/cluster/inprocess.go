@@ -19,9 +19,9 @@ import (
 
 // In-process clusters — N shard servers and their router inside one process
 // — are built here once, for every consumer: the repro facade
-// (NewClusterServer behind prodb -cluster), the simulation harness
-// (procsim -fig throughput -cluster), and the equivalence test suite. One
-// builder means one definition of how a dataset becomes shards.
+// (NewClusterServer behind prodb -cluster and proload -inprocess) and the
+// equivalence test suite. One builder means one definition of how a dataset
+// becomes shards.
 
 // InProcessConfig parameterizes NewInProcess.
 type InProcessConfig struct {

@@ -49,15 +49,27 @@ func (fs *funcShard) redial() (wire.Transport, error) {
 func (fs *funcShard) kill()    { fs.down.Store(true); fs.gen.Add(1) }
 func (fs *funcShard) restart() { fs.down.Store(false) }
 
+// snap32 rounds a rectangle to the wire's float32 precision. Every
+// coordinate the mixed test feeds in is snapped, so the shard behind the
+// binary codec stores and returns exactly what the in-process backends do.
+func snap32(r geom.Rect) geom.Rect {
+	q := func(v float64) float64 { return float64(float32(v)) }
+	return geom.Rect{MinX: q(r.MinX), MinY: q(r.MinY), MaxX: q(r.MaxX), MaxY: q(r.MaxY)}
+}
+
 // TestMixedTransportFailoverCycle routes one cluster over heterogeneous
 // shard transports — three func-transport shards and one shard served over
-// real TCP (wire.NetServer on loopback, gob codec so coordinates stay
-// float64 and results compare bit-for-bit against the in-process single
-// node) — and bounces each transport kind through a failover cycle. The
+// real TCP (wire.NetServer on loopback, binary codec; object, update and
+// query geometry is snapped to float32 so results compare bit-for-bit
+// against the in-process single node) — and bounces each transport kind
+// through a failover cycle. The
 // router must ride both out through its retry/redial path with answers and
 // update acks equal to the uninterrupted single-node twin throughout.
 func TestMixedTransportFailoverCycle(t *testing.T) {
 	objs := genObjects(1600, 33)
+	for i := range objs {
+		objs[i].MBR = snap32(objs[i].MBR)
+	}
 	sizes := make(map[rtree.ObjectID]int, len(objs))
 	for _, o := range objs {
 		sizes[o.ID] = o.Size
@@ -105,19 +117,24 @@ func TestMixedTransportFailoverCycle(t *testing.T) {
 		go func() { _ = ns.Serve(ln) }()
 		return ns
 	}
-	dialGob := func() (wire.Transport, error) {
+	dial := func() (wire.Transport, error) {
 		conn, err := net.Dial("tcp", addr.Load().(string))
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewClientConn(conn), nil
+		bc, err := wire.NewBinaryClientConn(conn)
+		if err != nil {
+			conn.Close()
+			return nil, err
+		}
+		return bc, nil
 	}
 	ns := startNS()
-	t3, err := dialGob()
+	t3, err := dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards[3] = Shard{T: t3, Redial: dialGob}
+	shards[3] = Shard{T: t3, Redial: dial}
 
 	router, err := New(shards, Config{
 		Part:          part,
@@ -134,6 +151,9 @@ func TestMixedTransportFailoverCycle(t *testing.T) {
 	upd := newUpdateStream(55, objs)
 	step := func(phase string) {
 		ops := upd.batch(30)
+		for i := range ops {
+			ops[i].From, ops[i].To = snap32(ops[i].From), snap32(ops[i].To)
+		}
 		sResp := single.ExecuteUpdates(&wire.Request{Client: 900, Updates: ops})
 		cResp, err := router.RoundTrip(&wire.Request{Client: 900, Updates: ops})
 		if err != nil {
@@ -150,7 +170,7 @@ func TestMixedTransportFailoverCycle(t *testing.T) {
 			var q query.Query
 			if s < 4 {
 				reg := part.Regions[s]
-				q = query.NewRange(geom.RectFromCenter(reg.Center(), reg.Width()/3, reg.Height()/3))
+				q = query.NewRange(snap32(geom.RectFromCenter(reg.Center(), reg.Width()/3, reg.Height()/3)))
 			} else {
 				q = query.NewRange(geom.R(0, 0, 1, 1))
 			}

@@ -125,13 +125,10 @@ type ServerStats struct {
 	// Requests counts requests served (including ones that returned an
 	// application error to the client).
 	Requests atomic.Int64
-	// Batches counts grouped pipeline drains handed to a batch handler
-	// (each covers two or more of the requests counted above).
-	Batches atomic.Int64
 	// Errors counts requests whose handler returned an error.
 	Errors atomic.Int64
 	// BytesIn counts bytes read from client connections, measured at the
-	// socket boundary (framing and handshake included, both protocols).
+	// socket boundary (framing and handshake included).
 	// Together with BytesOut it is the real-traffic counterpart of the
 	// wire.SizeModel byte accounting the experiments use.
 	BytesIn atomic.Int64
@@ -150,14 +147,16 @@ type ServerSnapshot struct {
 	RejectedConns int64
 	EdgeConns     int64
 	Requests      int64
-	Batches       int64
-	Errors        int64
-	BytesIn       int64
-	BytesOut      int64
-	MeanLatency   time.Duration
-	P50           time.Duration
-	P99           time.Duration
-	P999          time.Duration
+	// Batches is always 0: the serving layer executes every request on its
+	// own. The field stays because perfbench reads it for wire.batched_frac.
+	Batches     int64
+	Errors      int64
+	BytesIn     int64
+	BytesOut    int64
+	MeanLatency time.Duration
+	P50         time.Duration
+	P99         time.Duration
+	P999        time.Duration
 }
 
 // Snapshot captures the current counter values and latency quantiles.
@@ -168,7 +167,6 @@ func (s *ServerStats) Snapshot() ServerSnapshot {
 		RejectedConns: s.RejectedConns.Load(),
 		EdgeConns:     s.EdgeConns.Load(),
 		Requests:      s.Requests.Load(),
-		Batches:       s.Batches.Load(),
 		Errors:        s.Errors.Load(),
 		BytesIn:       s.BytesIn.Load(),
 		BytesOut:      s.BytesOut.Load(),
@@ -181,8 +179,8 @@ func (s *ServerStats) Snapshot() ServerSnapshot {
 
 // String renders the snapshot as a one-line status report.
 func (s ServerSnapshot) String() string {
-	return fmt.Sprintf("conns=%d/%d rejected=%d requests=%d batches=%d errors=%d in=%dB out=%dB latency mean=%v p50=%v p99=%v p999=%v",
-		s.ActiveConns, s.TotalConns, s.RejectedConns, s.Requests, s.Batches, s.Errors,
+	return fmt.Sprintf("conns=%d/%d rejected=%d requests=%d errors=%d in=%dB out=%dB latency mean=%v p50=%v p99=%v p999=%v",
+		s.ActiveConns, s.TotalConns, s.RejectedConns, s.Requests, s.Errors,
 		s.BytesIn, s.BytesOut,
 		s.MeanLatency.Round(time.Microsecond), s.P50, s.P99, s.P999)
 }

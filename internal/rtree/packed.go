@@ -1,10 +1,6 @@
 package rtree
 
-import (
-	"math"
-
-	"repro/internal/geom"
-)
+import "repro/internal/geom"
 
 // Packed is a read-optimized, pointer-free image of a tree: for every live
 // node it flattens the node's binary partition tree (the same deterministic
@@ -12,7 +8,6 @@ import (
 // out for traversal speed:
 //
 //	heads  [NodeID]      → {gen, level, off, count}     (count 0 = not covered)
-//	planes minX..maxY    → float32 MBRs, rounded outward (branchless prefilter)
 //	rects  []geom.Rect   → exact float64 MBRs (result and key construction)
 //	right  []int32       → preorder topology: left child = i+1, right = right[i],
 //	                       0 = leaf (index 0 is always a root, never a right child)
@@ -34,13 +29,12 @@ import (
 type Packed struct {
 	heads []packedHead
 
-	minX, minY, maxX, maxY []float32
-	rects                  []geom.Rect
-	right                  []int32
-	parent                 []int32
-	codes                  []string
-	child                  []NodeID
-	obj                    []ObjectID
+	rects  []geom.Rect
+	right  []int32
+	parent []int32
+	codes  []string
+	child  []NodeID
+	obj    []ObjectID
 }
 
 // packedHead locates one node's positions inside the global arrays.
@@ -82,10 +76,6 @@ func Repack(t *Tree, prev *Packed) *Packed {
 		}
 		return true
 	})
-	p.minX = make([]float32, 0, total)
-	p.minY = make([]float32, 0, total)
-	p.maxX = make([]float32, 0, total)
-	p.maxY = make([]float32, 0, total)
 	p.rects = make([]geom.Rect, 0, total)
 	p.right = make([]int32, 0, total)
 	p.parent = make([]int32, 0, total)
@@ -138,10 +128,6 @@ func coveredBy(prev *Packed, id NodeID, gen uint32) (PackedSpan, bool) {
 func copySpan(p *Packed, prev *Packed, sp PackedSpan) {
 	delta := int32(len(p.rects)) - sp.Off
 	end := sp.Off + sp.Count
-	p.minX = append(p.minX, prev.minX[sp.Off:end]...)
-	p.minY = append(p.minY, prev.minY[sp.Off:end]...)
-	p.maxX = append(p.maxX, prev.maxX[sp.Off:end]...)
-	p.maxY = append(p.maxY, prev.maxY[sp.Off:end]...)
 	p.rects = append(p.rects, prev.rects[sp.Off:end]...)
 	p.codes = append(p.codes, prev.codes[sp.Off:end]...)
 	p.child = append(p.child, prev.child[sp.Off:end]...)
@@ -179,10 +165,6 @@ func (pk *packer) build(entries []Entry, parentIdx int32) int32 {
 	// Placeholders; filled in below once children (and the MBR) are known.
 	p.right = append(p.right, 0)
 	p.rects = append(p.rects, geom.Rect{})
-	p.minX = append(p.minX, 0)
-	p.minY = append(p.minY, 0)
-	p.maxX = append(p.maxX, 0)
-	p.maxY = append(p.maxY, 0)
 	p.child = append(p.child, InvalidNode)
 	p.obj = append(p.obj, 0)
 
@@ -202,10 +184,6 @@ func (pk *packer) build(entries []Entry, parentIdx int32) int32 {
 		mbr = p.rects[left].Union(p.rects[r])
 	}
 	p.rects[idx] = mbr
-	p.minX[idx] = f32Down(mbr.MinX)
-	p.minY[idx] = f32Down(mbr.MinY)
-	p.maxX[idx] = f32Up(mbr.MaxX)
-	p.maxY[idx] = f32Up(mbr.MaxY)
 	return idx
 }
 
@@ -245,24 +223,6 @@ func internCode(code []byte) string {
 		v = v<<1 | int(c&1)
 	}
 	return internedCodes[1<<len(code)-1+v]
-}
-
-// f32Down converts v to the nearest float32 not greater than v.
-func f32Down(v float64) float32 {
-	f := float32(v)
-	if float64(f) > v {
-		f = math.Nextafter32(f, float32(math.Inf(-1)))
-	}
-	return f
-}
-
-// f32Up converts v to the nearest float32 not less than v.
-func f32Up(v float64) float32 {
-	f := float32(v)
-	if float64(f) < v {
-		f = math.Nextafter32(f, float32(math.Inf(1)))
-	}
-	return f
 }
 
 // Covers returns the position span of node id if the image was built from
@@ -335,29 +295,3 @@ func (p *Packed) ChildID(i int32) NodeID { return p.child[i] }
 
 // ObjID returns the object a leaf position references.
 func (p *Packed) ObjID(i int32) ObjectID { return p.obj[i] }
-
-// Window32 is a query window widened to float32 planes, for the branchless
-// conservative prefilter against the packed MBR planes.
-type Window32 struct {
-	MinX, MinY, MaxX, MaxY float32
-}
-
-// MakeWindow32 widens w outward to float32.
-func MakeWindow32(w geom.Rect) Window32 {
-	return Window32{
-		MinX: f32Down(w.MinX),
-		MinY: f32Down(w.MinY),
-		MaxX: f32Up(w.MaxX),
-		MaxY: f32Up(w.MaxY),
-	}
-}
-
-// MayIntersect reports whether position i's MBR may intersect the window:
-// false is definite (the planes are outward-rounded covers of the exact
-// MBRs), true must be confirmed against the exact rect. The comparison chain
-// compiles to branch-predictable compares over four contiguous float32
-// arrays.
-func (p *Packed) MayIntersect(i int32, w Window32) bool {
-	return p.minX[i] <= w.MaxX && w.MinX <= p.maxX[i] &&
-		p.minY[i] <= w.MaxY && w.MinY <= p.maxY[i]
-}

@@ -14,9 +14,8 @@ import (
 	"repro/internal/wire"
 )
 
-// quant32 snaps a coordinate to its nearest float32, the wire's precision:
-// windows built from it sit exactly on the values the packed image's
-// outward-rounded float32 planes must treat conservatively.
+// quant32 snaps a coordinate to its nearest float32, the wire's precision,
+// so windows and moves built from it carry values a wire client can send.
 func quant32(v float64) float64 { return float64(float32(v)) }
 
 // diffRequests builds the differential workload: range windows (random,
@@ -116,8 +115,9 @@ func TestPackedMatchesArenaDifferential(t *testing.T) {
 	}
 }
 
-// TestPackedConcurrentPublish races queries (solo and batched) against a
-// writer that keeps mutating the index and publishing fresh packed images.
+// TestPackedConcurrentPublish races queries (plain ranges and the mixed
+// differential workload) against a writer that keeps mutating the index and
+// publishing fresh packed images.
 // Run under -race in CI: the per-(NodeID, Gen) validation contract means a
 // query may observe any published image, old or new, but never a torn one.
 func TestPackedConcurrentPublish(t *testing.T) {
@@ -153,11 +153,10 @@ func TestPackedConcurrentPublish(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(g) + 11))
 			for time.Now().Before(deadline) {
 				if g%2 == 0 {
-					reqs := batchRequests(r, 12)
-					resps, _ := srv.ExecuteBatch(reqs)
-					for _, resp := range resps {
+					for _, req := range diffRequests(r, items, 12) {
+						resp, _ := srv.Execute(req)
 						if resp == nil {
-							t.Error("batch under concurrent publish returned nil response")
+							t.Error("mixed query under concurrent publish returned nil response")
 							return
 						}
 						srv.ReleaseResponse(resp)

@@ -160,7 +160,7 @@ type Server struct {
 	// small fraction of one core (and its GC budget) on image rebuilds
 	// instead of packing after every batch.
 	packGate atomic.Int64
-	// reads counts Execute/ExecuteBatch entries. The background packer
+	// reads counts Execute entries. The background packer
 	// consults it and keeps the image unmaintained while nothing is reading:
 	// a write-only phase pays zero repack cost (on small machines the packer
 	// competes with the writer for the same core), and the first query after
@@ -424,13 +424,7 @@ func (s *Server) ReleaseResponse(resp *wire.Response) {
 // is done with it; see there for the ownership contract.
 func (s *Server) Execute(req *wire.Request) (*wire.Response, ExecInfo) {
 	s.reads.Add(1)
-	return s.executeWithD(req, s.feedbackAndD(req))
-}
-
-// executeWithD is Execute after feedback has been folded in; the batch path
-// calls it directly so a group abort cannot apply a request's FMR feedback
-// twice.
-func (s *Server) executeWithD(req *wire.Request, d int) (*wire.Response, ExecInfo) {
+	d := s.feedbackAndD(req)
 	v := s.pinSnapshot()
 	defer v.unpin()
 

@@ -15,10 +15,9 @@ import (
 	"repro/internal/rtree"
 )
 
-// The binary codec is the hot-path wire format: a hand-rolled, versioned,
-// length-prefixed encoding of every protocol message. It replaces gob on the
-// serving path (gob remains as a negotiated fallback, see codec.go) and is
-// deliberately shaped after the paper's byte-size model: coordinates travel
+// The binary codec is the wire format: a hand-rolled, versioned,
+// length-prefixed encoding of every protocol message, deliberately shaped
+// after the paper's byte-size model: coordinates travel
 // as float32 (SizeModel prices 20-byte entries of four float32 coordinates
 // plus a pointer), identifiers and counts as varints, and partition-tree
 // codes as packed bits. Priority keys of handed-over queue elements are not
@@ -38,21 +37,16 @@ import (
 // answer out of order (see BinaryClientConn and NetServer).
 
 // ProtoVersion is the binary protocol version carried in the handshake
-// preamble. Peers with different versions must not talk binary to each
-// other; the gob fallback remains version-agnostic.
+// preamble. Peers with different versions must not talk to each other.
 const ProtoVersion = 1
 
-// handshakeMagic is the per-direction stream preamble: it distinguishes the
-// binary protocol from a gob stream and pins the protocol version. The
-// leading 0xF8 is deliberate poison for gob: a pre-binary server feeds the
-// preamble to its gob decoder, which parses it as an 8-byte message-length
-// of ~5.8e18, errors out immediately, and hangs up — so a binary client
-// probing an old server fails fast (and falls back to gob) instead of
-// waiting out a handshake deadline. Byte 5 carries the connection role
+// handshakeMagic is the per-direction stream preamble: it identifies the
+// protocol and pins its version. Byte 5 carries the connection role
 // (RoleClient or RoleEdge); bytes 6..8 are reserved (zero). Old peers wrote
 // zero in byte 5, which is exactly RoleClient, so pre-role streams decode
 // unchanged; servers always ack with the plain client preamble, which old
-// clients already accept (they check only bytes 0..4).
+// clients already accept (they check only bytes 0..4). The bytes are fixed
+// by the golden files under testdata.
 var handshakeMagic = [9]byte{0xF8, 'P', 'R', 'W', ProtoVersion, 0, 0, 0, 0}
 
 // Connection roles, carried in handshake preamble byte 5. An edge proxy
@@ -747,25 +741,25 @@ func DecodeResponse(body []byte) (*Response, error) {
 	return resp, nil
 }
 
-// sniffBinary reports whether the stream opens with the binary handshake
-// preamble, consuming it when present, and returns the announced connection
-// role. This is the single negotiation rule shared by every serving path
-// (NetServer, ServeConn, the reject path). Only known roles are accepted;
-// an unknown role byte falls through to the gob path and dies there, which
-// is the same fate any non-preamble byte stream meets.
-func sniffBinary(br *bufio.Reader) (bool, byte, error) {
+// readPreamble consumes the stream's handshake preamble and returns the
+// announced connection role. ok is false when the stream fails or ends
+// before nine bytes arrive, or opens with anything but a valid preamble:
+// the right magic and version, a known role, zero reserved bytes. This is
+// the single negotiation rule shared by NetServer's serving and reject
+// paths, which close the connection whenever ok is false.
+func readPreamble(br *bufio.Reader) (role byte, ok bool) {
 	first, err := br.Peek(len(handshakeMagic))
 	if err != nil {
-		return false, 0, err
+		return 0, false
 	}
-	role := first[5]
+	role = first[5]
 	if !bytes.Equal(first[:5], handshakeMagic[:5]) ||
 		(role != RoleClient && role != RoleEdge) ||
 		first[6] != 0 || first[7] != 0 || first[8] != 0 {
-		return false, 0, nil
+		return 0, false
 	}
 	_, err = br.Discard(len(handshakeMagic))
-	return true, role, err
+	return role, err == nil
 }
 
 // writeFrame emits one length-prefixed frame and flushes, so the message

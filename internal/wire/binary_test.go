@@ -249,8 +249,8 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryQuickRoundTrip feeds the codec the same randomized messages as
-// the gob property test: after canonicalization (float32 geometry, zeroed
+// TestBinaryQuickRoundTrip feeds the codec randomized messages (randRequest,
+// randResponse): after canonicalization (float32 geometry, zeroed
 // keys, super elements stripped of ids) the round trip must be exact.
 func TestBinaryQuickRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"sync"
@@ -53,58 +51,12 @@ func benchResponse() *Response {
 	return resp
 }
 
-// BenchmarkCodecGobVsBinary compares the two codecs on the representative
-// APRO response, reporting encoded bytes per message alongside ns/op. Gob
-// is measured in its steady state (persistent stream encoder / a decoder
-// amortized over a long stream), which is how the serving path uses it.
-func BenchmarkCodecGobVsBinary(b *testing.B) {
+// BenchmarkCodecBinary measures the codec on the representative APRO
+// response, reporting encoded bytes per message alongside ns/op.
+func BenchmarkCodecBinary(b *testing.B) {
 	resp := benchResponse()
 
-	b.Run("gob/encode", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(envelope{Resp: resp}); err != nil {
-			b.Fatal(err)
-		}
-		steady := buf.Len()
-		if err := enc.Encode(envelope{Resp: resp}); err != nil {
-			b.Fatal(err)
-		}
-		steady = buf.Len() - steady // second message: no type descriptors
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf.Truncate(0)
-			if err := enc.Encode(envelope{Resp: resp}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(steady), "bytes/msg")
-	})
-
-	b.Run("gob/decode", func(b *testing.B) {
-		const streamLen = 256
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for i := 0; i < streamLen; i++ {
-			if err := enc.Encode(envelope{Resp: resp}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		data := buf.Bytes()
-		b.ResetTimer()
-		for i := 0; i < b.N; {
-			dec := gob.NewDecoder(bytes.NewReader(data))
-			for j := 0; j < streamLen && i < b.N; j++ {
-				var env envelope
-				if err := dec.Decode(&env); err != nil {
-					b.Fatal(err)
-				}
-				i++
-			}
-		}
-	})
-
-	b.Run("binary/encode", func(b *testing.B) {
+	b.Run("encode", func(b *testing.B) {
 		buf := EncodeResponse(nil, resp)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -113,7 +65,7 @@ func BenchmarkCodecGobVsBinary(b *testing.B) {
 		b.ReportMetric(float64(len(buf)), "bytes/msg")
 	})
 
-	b.Run("binary/decode", func(b *testing.B) {
+	b.Run("decode", func(b *testing.B) {
 		data := EncodeResponse(nil, resp)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -125,10 +77,9 @@ func BenchmarkCodecGobVsBinary(b *testing.B) {
 }
 
 // BenchmarkTransportThroughput measures queries/sec over one real TCP
-// connection against a NetServer: the serial gob round-trip path, the
-// binary codec still serialized one-at-a-time, and the pipelined binary
-// path with many requests in flight. The deltas separate how much of the
-// win comes from the codec and how much from pipelining.
+// connection against a NetServer: requests serialized one round trip at a
+// time, and pipelined with many requests in flight. The delta is what
+// pipelining buys.
 func BenchmarkTransportThroughput(b *testing.B) {
 	resp := benchResponse()
 	handler := func(req *Request) (*Response, error) {
@@ -145,26 +96,6 @@ func BenchmarkTransportThroughput(b *testing.B) {
 		go func() { _ = srv.Serve(ln) }()
 		return ln.Addr().String(), func() { srv.Close() }
 	}
-
-	b.Run("serial-gob", func(b *testing.B) {
-		addr, stop := start(b)
-		defer stop()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		cc := NewClientConn(conn) // RoundTrip serializes internally
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := cc.RoundTrip(&Request{Catalog: true}); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
 
 	b.Run("serial-binary", func(b *testing.B) {
 		addr, stop := start(b)

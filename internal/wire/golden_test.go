@@ -116,15 +116,15 @@ func TestGoldenEdgeHandshake(t *testing.T) {
 		role byte
 	}{{RoleClient}, {RoleEdge}} {
 		p := handshakePreamble(tc.role)
-		ok, role, err := sniffBinary(bufio.NewReader(bytes.NewReader(p[:])))
-		if err != nil || !ok || role != tc.role {
-			t.Errorf("sniff role %d: ok=%v role=%d err=%v", tc.role, ok, role, err)
+		role, ok := readPreamble(bufio.NewReader(bytes.NewReader(p[:])))
+		if !ok || role != tc.role {
+			t.Errorf("preamble role %d: ok=%v role=%d", tc.role, ok, role)
 		}
 	}
-	// An unknown role byte must fall through to the gob path, not decode as
-	// a binary peer with a garbled role.
+	// An unknown role byte must be refused like any non-preamble stream
+	// (NetServer closes it), not decode as a binary peer with a garbled role.
 	bad := handshakePreamble(0x7f)
-	if ok, _, err := sniffBinary(bufio.NewReader(bytes.NewReader(bad[:]))); err != nil || ok {
-		t.Errorf("unknown role accepted as binary: ok=%v err=%v", ok, err)
+	if _, ok := readPreamble(bufio.NewReader(bytes.NewReader(bad[:]))); ok {
+		t.Error("unknown role accepted as a valid preamble")
 	}
 }

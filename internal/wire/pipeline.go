@@ -10,8 +10,9 @@ import (
 )
 
 // ErrProtocolMismatch is returned by NewBinaryClientConn when the peer does
-// not answer the binary handshake with a matching preamble — typically a
-// gob-only server. Dialers use it to fall back to the gob protocol.
+// not answer the binary handshake with a matching preamble: it hung up,
+// answered garbage, or speaks another protocol version. There is no other
+// protocol to fall back to, so dialers report it as a failed dial.
 var ErrProtocolMismatch = errors.New("wire: peer does not speak the binary protocol")
 
 // BinaryClientConn is a pipelined Transport over the binary protocol: any
@@ -40,8 +41,8 @@ type frameResult struct {
 
 // NewBinaryClientConn performs the binary handshake on rw and starts the
 // response reader. It returns ErrProtocolMismatch (possibly wrapped) when
-// the peer answers with anything but the expected preamble, and the caller
-// should then fall back to NewClientConn (gob).
+// the peer answers with anything but the expected preamble; the caller
+// should then close rw.
 func NewBinaryClientConn(rw io.ReadWriter) (*BinaryClientConn, error) {
 	return NewBinaryClientConnRole(rw, RoleClient)
 }
@@ -78,10 +79,9 @@ func NewBinaryClientConnRole(rw io.ReadWriter, role byte) (*BinaryClientConn, er
 	return c, nil
 }
 
-// RoundTrip implements Transport. Unlike the gob ClientConn, concurrent
-// calls do not serialize on the round trip: each caller's request is framed
-// and flushed immediately, and the caller only blocks until its own
-// response arrives.
+// RoundTrip implements Transport. Concurrent calls do not serialize on the
+// round trip: each caller's request is framed and flushed immediately, and
+// the caller only blocks until its own response arrives.
 func (c *BinaryClientConn) RoundTrip(req *Request) (*Response, error) {
 	ch := make(chan frameResult, 1)
 

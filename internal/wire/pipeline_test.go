@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"context"
 	"io"
 	"net"
 	"strings"
@@ -232,47 +231,12 @@ func TestBinaryInflightSurvivesIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestBinaryShutdownDrains mirrors the gob drain test on the pipelined
-// path: a request parked in its handler is answered before Shutdown
-// returns.
+// TestBinaryShutdownDrains: a request parked in its handler is answered
+// before Shutdown returns.
 func TestBinaryShutdownDrains(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	srv, addr := startServer(t, ServeConfig{}, func(req *Request) (*Response, error) {
-		if !req.Catalog {
-			close(started)
-			<-release
-		}
-		return &Response{Epoch: req.Epoch}, nil
-	})
-	bc := dialBinary(t, addr)
-	if _, err := bc.RoundTrip(&Request{Catalog: true}); err != nil {
-		t.Fatal(err)
-	}
-	inflight := make(chan error, 1)
-	go func() {
-		resp, err := bc.RoundTrip(&Request{Epoch: 42})
-		if err == nil && resp.Epoch != 42 {
-			t.Errorf("drained response epoch = %d, want 42", resp.Epoch)
-		}
-		inflight <- err
-	}()
-	<-started
-
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		shutdownDone <- srv.Shutdown(ctx)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	release <- struct{}{}
-	if err := <-inflight; err != nil {
-		t.Errorf("in-flight pipelined request was not drained: %v", err)
-	}
-	if err := <-shutdownDone; err != nil {
-		t.Errorf("shutdown: %v", err)
-	}
+	d := startDraining(t)
+	d.release <- struct{}{}
+	d.finish(t)
 }
 
 // TestBinaryDecodeErrorKeepsConnAlive: a garbage request body inside a
@@ -319,33 +283,5 @@ func TestBinaryDecodeErrorKeepsConnAlive(t *testing.T) {
 	resp, err := DecodeResponse(body)
 	if err != nil || typ != frameResponse || id != 2 || resp.Epoch != 8 {
 		t.Fatalf("connection did not survive decode error: typ=%d id=%d err=%v", typ, id, err)
-	}
-}
-
-// TestServeConnBinarySerial covers the library-level ServeConn negotiation
-// and serial binary loop over an in-memory pipe.
-func TestServeConnBinarySerial(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	served := make(chan error, 1)
-	go func() { served <- ServeConn(c2, echoHandler) }()
-
-	bc, err := NewBinaryClientConn(c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 5; i++ {
-		resp, err := bc.RoundTrip(&Request{Epoch: i, Catalog: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Epoch != i {
-			t.Fatalf("epoch = %d, want %d", resp.Epoch, i)
-		}
-	}
-	c1.Close()
-	if err := <-served; err != nil {
-		t.Fatalf("serve: %v", err)
 	}
 }

@@ -3,8 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"net"
 	"runtime"
@@ -23,10 +21,10 @@ import (
 // graceful Shutdown that stops accepting, lets in-flight requests finish,
 // and then closes everything.
 //
-// Each connection's protocol is negotiated from its first bytes: binary
-// clients open with the handshake preamble and get framed, pipelined,
-// out-of-order service (many requests in flight per connection, responses
-// correlated by id); gob clients get the serial fallback loop.
+// Every connection must open with the binary handshake preamble and then
+// gets framed, pipelined, out-of-order service (many requests in flight per
+// connection, responses correlated by id). A stream that opens with
+// anything else is closed without a reply.
 
 // Defaults applied by NewNetServer when a ServeConfig field is zero.
 const (
@@ -52,7 +50,8 @@ var respBodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // ServeConfig parameterizes a NetServer.
 type ServeConfig struct {
 	// MaxConns is the maximum number of concurrently open connections;
-	// connections beyond it are sent an error envelope and closed.
+	// connections beyond it are sent a connection-scoped error frame and
+	// closed.
 	// Default DefaultMaxConns. Negative means unlimited.
 	MaxConns int
 	// MaxInflight bounds requests executing at once across all
@@ -75,16 +74,10 @@ type ServeConfig struct {
 	// recycle response memory. The server must not touch a response after
 	// releasing it.
 	Release func(*Response)
-	// HandleBatch, when set, receives runs of pipelined requests that were
-	// already fully buffered on a binary connection (drained without
-	// blocking after the first frame of a read pass, up to MaxPipeline or
-	// MaxBatch, whichever is smaller). Single requests and the gob protocol
-	// keep using the plain handler.
-	HandleBatch BatchHandler
 }
 
-// MaxBatch caps requests per HandleBatch call regardless of MaxPipeline.
-const MaxBatch = 64
+// Handler processes one request on the server side.
+type Handler func(*Request) (*Response, error)
 
 // NetServer is a concurrent wire-protocol server. Create one with
 // NewNetServer; Serve blocks until the listener fails or Shutdown/Close is
@@ -179,24 +172,22 @@ func (s *NetServer) Serve(ln net.Listener) error {
 	}
 }
 
-// rejectConn tells a client the server is full — in whichever protocol the
-// client opened with — then hangs up.
+// rejectConn tells a binary client the server is full, then hangs up. A
+// stream that does not open with the preamble is closed without a reply.
 func rejectConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	const limitMsg = "server at connection limit"
 	br := bufio.NewReaderSize(conn, len(handshakeMagic))
-	if isBinary, _, err := sniffBinary(br); err == nil && isBinary {
-		bw := bufio.NewWriter(conn)
-		if _, err := bw.Write(handshakeMagic[:]); err != nil {
-			return
-		}
-		// Error frame id 0 is connection-scoped: the client fails every
-		// round trip on this connection with the message.
-		_ = writeFrame(bw, frameError, 0, []byte(limitMsg))
+	if _, ok := readPreamble(br); !ok {
 		return
 	}
-	_ = gob.NewEncoder(conn).Encode(envelope{Err: limitMsg})
+	bw := bufio.NewWriter(conn)
+	if _, err := bw.Write(handshakeMagic[:]); err != nil {
+		return
+	}
+	// Error frame id 0 is connection-scoped: the client fails every round
+	// trip on this connection with the message.
+	_ = writeFrame(bw, frameError, 0, []byte("server at connection limit"))
 }
 
 // track registers a live connection; it refuses during shutdown. The
@@ -226,8 +217,8 @@ func (s *NetServer) shuttingDown() bool {
 	return s.shutdown
 }
 
-// countingConn counts bytes crossing the socket into the serving stats, for
-// either protocol, underneath any buffering.
+// countingConn counts bytes crossing the socket into the serving stats,
+// underneath any buffering.
 type countingConn struct {
 	net.Conn
 	stats *metrics.ServerStats
@@ -245,8 +236,8 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// serveConn sniffs the connection's protocol and runs the matching request
-// loop.
+// serveConn checks the connection's handshake preamble and runs the request
+// loop; a stream without a valid preamble is closed at once.
 func (s *NetServer) serveConn(conn net.Conn) {
 	s.stats.ActiveConns.Add(1)
 	defer func() {
@@ -264,19 +255,15 @@ func (s *NetServer) serveConn(conn net.Conn) {
 	if s.cfg.ReadTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	}
-	isBinary, role, err := sniffBinary(br)
-	if err != nil {
+	role, ok := readPreamble(br)
+	if !ok {
 		return
 	}
-	if isBinary {
-		if role == RoleEdge {
-			s.stats.EdgeConns.Add(1)
-			defer s.stats.EdgeConns.Add(-1)
-		}
-		s.serveBinary(conn, cc, br)
-		return
+	if role == RoleEdge {
+		s.stats.EdgeConns.Add(1)
+		defer s.stats.EdgeConns.Add(-1)
 	}
-	s.serveGob(conn, cc, br)
+	s.serveBinary(conn, cc, br)
 }
 
 // serveBinary is the pipelined request loop: frames are read as fast as they
@@ -359,75 +346,6 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 			continue
 		}
 
-		// Batch drain: when the application installed a batch handler and the
-		// client's pipeline burst landed more complete frames in the read
-		// buffer, hand the whole run over in one call instead of a goroutine
-		// per request.
-		if s.cfg.HandleBatch != nil && br.Buffered() >= 4 {
-			ids, reqs, fatal := s.drainBuffered(br, writeResp, id, req)
-			if fatal {
-				return
-			}
-			if len(reqs) > 1 {
-				for range reqs {
-					if pipeSem != nil {
-						pipeSem <- struct{}{}
-					}
-				}
-				workers.Add(1)
-				inflight.Add(int64(len(reqs)))
-				go func(ids []uint64, reqs []*Request) {
-					defer func() {
-						inflight.Add(-int64(len(reqs)))
-						workers.Done()
-						if pipeSem != nil {
-							for range reqs {
-								<-pipeSem
-							}
-						}
-					}()
-					// One worker-pool token serves the whole batch: the
-					// batch is one unit of execution on the application side.
-					if s.sem != nil {
-						s.sem <- struct{}{}
-					}
-					start := time.Now()
-					resps, errs := s.cfg.HandleBatch(reqs)
-					elapsed := time.Since(start)
-					if s.sem != nil {
-						<-s.sem
-					}
-					s.stats.Batches.Add(1)
-					s.stats.Requests.Add(int64(len(reqs)))
-					for i := range reqs {
-						s.stats.Latency.Observe(elapsed)
-						if errs != nil && errs[i] != nil {
-							s.stats.Errors.Add(1)
-							writeResp(frameError, ids[i], []byte(errs[i].Error()))
-							continue
-						}
-						var resp *Response
-						if i < len(resps) {
-							resp = resps[i]
-						}
-						if resp == nil {
-							s.stats.Errors.Add(1)
-							writeResp(frameError, ids[i], []byte("batch handler returned no response"))
-							continue
-						}
-						body := respBodyPool.Get().(*[]byte)
-						*body = EncodeResponse((*body)[:0], resp)
-						if s.cfg.Release != nil {
-							s.cfg.Release(resp)
-						}
-						writeResp(frameResponse, ids[i], *body)
-						respBodyPool.Put(body)
-					}
-				}(ids, reqs)
-				continue
-			}
-		}
-
 		if pipeSem != nil {
 			pipeSem <- struct{}{}
 		}
@@ -467,127 +385,10 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 	}
 }
 
-// drainBuffered collects request frames that are already fully buffered on a
-// binary connection — never touching the socket — and returns them together
-// with the first decoded request of the read pass. A pipelining client's
-// burst typically lands in one read, so everything behind the first frame is
-// sitting in the bufio buffer by the time it is decoded. Batches are capped
-// at MaxBatch and MaxPipeline. fatal reports a protocol violation or write
-// failure; the caller must tear the connection down.
-func (s *NetServer) drainBuffered(br *bufio.Reader, writeResp func(byte, uint64, []byte) bool, firstID uint64, first *Request) (ids []uint64, reqs []*Request, fatal bool) {
-	max := MaxBatch
-	if s.cfg.MaxPipeline > 0 && s.cfg.MaxPipeline < max {
-		max = s.cfg.MaxPipeline
-	}
-	ids = append(ids, firstID)
-	reqs = append(reqs, first)
-	for len(reqs) < max {
-		buffered := br.Buffered()
-		if buffered < 4 {
-			break
-		}
-		head, err := br.Peek(4)
-		if err != nil {
-			break
-		}
-		// The 4-byte prefix counts the frame's remaining bytes; only a frame
-		// whose every byte is already buffered is consumed (readFrame on it
-		// cannot block).
-		if n := binary.LittleEndian.Uint32(head); uint64(buffered) < 4+uint64(n) {
-			break
-		}
-		typ, id, body, err := readFrame(br)
-		if err != nil {
-			return nil, nil, true
-		}
-		if typ != frameRequest {
-			writeResp(frameError, 0, []byte("unexpected frame type"))
-			return nil, nil, true
-		}
-		req, err := DecodeRequest(body)
-		if err != nil {
-			s.stats.Errors.Add(1)
-			if !writeResp(frameError, id, []byte(err.Error())) {
-				return nil, nil, true
-			}
-			continue
-		}
-		ids = append(ids, id)
-		reqs = append(reqs, req)
-	}
-	return ids, reqs, false
-}
-
 // isTimeout reports whether err is a deadline expiry.
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// serveGob is the serial gob fallback loop (one request per round trip).
-func (s *NetServer) serveGob(conn net.Conn, cc countingConn, br *bufio.Reader) {
-	bw := bufio.NewWriter(cc)
-	enc := gob.NewEncoder(writeFlusher{bw})
-	dec := gob.NewDecoder(br)
-	for {
-		if s.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
-		// Re-check after arming the deadline: Shutdown sets the flag and
-		// nudges deadlines in one critical section, so if the deadline
-		// write above clobbered the nudge, the flag is already visible
-		// here — without this check a racing idle connection would sleep
-		// out its full ReadTimeout and turn graceful drain into a
-		// ctx-timeout force close.
-		if s.shuttingDown() {
-			return
-		}
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			// EOF, idle timeout, or the shutdown nudge: hang up quietly.
-			return
-		}
-		if env.Req == nil {
-			if err := enc.Encode(envelope{Err: "empty request envelope"}); err != nil {
-				return
-			}
-			continue
-		}
-
-		if s.sem != nil {
-			s.sem <- struct{}{}
-		}
-		start := time.Now()
-		resp, err := s.handle(env.Req)
-		s.stats.Latency.Observe(time.Since(start))
-		if s.sem != nil {
-			<-s.sem
-		}
-		s.stats.Requests.Add(1)
-
-		out := envelope{Resp: resp}
-		if err != nil {
-			s.stats.Errors.Add(1)
-			out = envelope{Err: err.Error()}
-		}
-		if s.cfg.ReadTimeout > 0 {
-			// Same guard as the binary path: a client that stops reading
-			// must not wedge this goroutine (and its connSem slot) forever,
-			// or graceful Shutdown degrades to a force close.
-			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
-		encErr := enc.Encode(out)
-		if resp != nil && s.cfg.Release != nil {
-			s.cfg.Release(resp)
-		}
-		if encErr != nil {
-			return
-		}
-		if s.shuttingDown() {
-			// The in-flight request is answered; drain by refusing the next.
-			return
-		}
-	}
 }
 
 // Shutdown gracefully stops the server: it closes the listener, nudges idle

@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,35 +26,19 @@ func startServer(t *testing.T, cfg ServeConfig, handle Handler) (*NetServer, str
 	return srv, ln.Addr().String()
 }
 
-func dialT(t *testing.T, addr string) *ClientConn {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return NewClientConn(conn)
-}
-
 func TestNetServerConcurrentClients(t *testing.T) {
 	srv, addr := startServer(t, ServeConfig{}, echoHandler)
 	const clients, perClient = 10, 25
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
+		bc := dialBinary(t, addr)
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer conn.Close()
-			cc := NewClientConn(conn)
 			for i := 0; i < perClient; i++ {
 				epoch := uint64(c*1000 + i)
-				resp, err := cc.RoundTrip(&Request{Client: ClientID(c), Epoch: epoch, Catalog: true})
+				resp, err := bc.RoundTrip(&Request{Client: ClientID(c), Epoch: epoch, Catalog: true})
 				if err != nil {
 					errs <- err
 					return
@@ -81,109 +64,146 @@ func TestNetServerConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestNetServerConnLimit(t *testing.T) {
+// TestNetServerClosesNonPreambleStream: a connection whose first nine bytes
+// are not a valid handshake preamble — a foreign protocol, a wrong version,
+// an unknown role byte, non-zero reserved bytes — is closed without a single
+// byte of reply, on the serving path and on the connection-limit reject path
+// alike.
+func TestNetServerClosesNonPreambleStream(t *testing.T) {
+	bad := map[string][9]byte{
+		"foreign":  {'G', 'E', 'T', ' ', '/', ' ', 'H', 'T', 'T'},
+		"version":  {0xF8, 'P', 'R', 'W', ProtoVersion + 1, 0, 0, 0, 0},
+		"role":     handshakePreamble(0x7f),
+		"reserved": {0xF8, 'P', 'R', 'W', ProtoVersion, 0, 0, 0, 1},
+	}
+	probe := func(t *testing.T, addr string, stream [9]byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(stream[:]); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// EOF (or a reset) is the close; a timeout means the server kept
+		// the stream open.
+		n, err := conn.Read(make([]byte, 1))
+		if n != 0 || err == nil || isTimeout(err) {
+			t.Fatalf("read after bad preamble: n=%d err=%v, want a close without reply", n, err)
+		}
+	}
+
+	srv, addr := startServer(t, ServeConfig{}, echoHandler)
+	for name, stream := range bad {
+		t.Run(name, func(t *testing.T) { probe(t, addr, stream) })
+	}
+	if got := srv.Stats().Snapshot().Requests; got != 0 {
+		t.Errorf("requests = %d, want 0", got)
+	}
+
+	// The reject path of a full server applies the same rule.
 	block := make(chan struct{})
-	srv, addr := startServer(t, ServeConfig{MaxConns: 1}, func(req *Request) (*Response, error) {
+	defer close(block)
+	full, fullAddr := startServer(t, ServeConfig{MaxConns: 1}, func(*Request) (*Response, error) {
 		<-block
 		return &Response{}, nil
 	})
-
-	// First connection occupies the only slot.
-	first := dialT(t, addr)
-	firstDone := make(chan error, 1)
-	go func() {
-		_, err := first.RoundTrip(&Request{Catalog: true})
-		firstDone <- err
-	}()
-
-	// Wait until the server has the first connection tracked.
+	first := dialBinary(t, fullAddr)
+	go func() { _, _ = first.RoundTrip(&Request{Catalog: true}) }()
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().ActiveConns.Load() == 0 {
+	for full.Stats().ActiveConns.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first connection never became active")
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	second := dialT(t, addr)
-	if _, err := second.RoundTrip(&Request{Catalog: true}); err == nil ||
-		!strings.Contains(err.Error(), "connection limit") {
-		t.Fatalf("second conn error = %v, want connection limit rejection", err)
-	}
-	if got := srv.Stats().RejectedConns.Load(); got != 1 {
+	probe(t, fullAddr, bad["role"])
+	if got := full.Stats().RejectedConns.Load(); got != 1 {
 		t.Errorf("rejected = %d, want 1", got)
 	}
-	close(block)
-	if err := <-firstDone; err != nil {
-		t.Errorf("first conn round trip: %v", err)
-	}
 }
 
-func TestNetServerIdleTimeout(t *testing.T) {
-	_, addr := startServer(t, ServeConfig{ReadTimeout: 50 * time.Millisecond}, echoHandler)
-	cc := dialT(t, addr)
-	if _, err := cc.RoundTrip(&Request{Catalog: true}); err != nil {
-		t.Fatalf("warm request: %v", err)
-	}
-	time.Sleep(200 * time.Millisecond)
-	if _, err := cc.RoundTrip(&Request{Catalog: true}); err == nil {
-		t.Fatal("request after idle timeout should fail: server must have hung up")
-	}
+// draining is a server caught mid-Shutdown: one request is parked in its
+// handler until release is signalled, and Shutdown runs in the background.
+type draining struct {
+	addr         string
+	release      chan struct{}
+	inflight     chan error
+	shutdownDone chan error
 }
 
-func TestNetServerGracefulShutdownDrains(t *testing.T) {
+// startDraining warms a connection, parks a request on it, then starts a
+// graceful Shutdown and gives it a moment to close the listener.
+func startDraining(t *testing.T) *draining {
+	t.Helper()
 	started := make(chan struct{})
-	release := make(chan struct{})
+	d := &draining{
+		release:      make(chan struct{}),
+		inflight:     make(chan error, 1),
+		shutdownDone: make(chan error, 1),
+	}
 	srv, addr := startServer(t, ServeConfig{}, func(req *Request) (*Response, error) {
 		if !req.Catalog {
 			close(started)
-			<-release
+			<-d.release
 		}
 		return &Response{Epoch: req.Epoch}, nil
 	})
-
-	cc := dialT(t, addr)
+	d.addr = addr
+	bc := dialBinary(t, addr)
 	// Warm request proves the pipe works.
-	if _, err := cc.RoundTrip(&Request{Catalog: true}); err != nil {
+	if _, err := bc.RoundTrip(&Request{Catalog: true}); err != nil {
 		t.Fatal(err)
 	}
-
-	inflight := make(chan error, 1)
 	go func() {
-		resp, err := cc.RoundTrip(&Request{Epoch: 42})
+		resp, err := bc.RoundTrip(&Request{Epoch: 42})
 		if err == nil && resp.Epoch != 42 {
 			t.Errorf("drained response epoch = %d, want 42", resp.Epoch)
 		}
-		inflight <- err
+		d.inflight <- err
 	}()
 	<-started
-
-	shutdownDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		shutdownDone <- srv.Shutdown(ctx)
+		d.shutdownDone <- srv.Shutdown(ctx)
 	}()
-
-	// New connections must be refused while draining.
 	time.Sleep(20 * time.Millisecond)
-	if conn, err := net.Dial("tcp", addr); err == nil {
-		conn.Close()
-		// Accept may race with the listener close; what matters is that a
-		// round trip cannot succeed.
-		cc2 := dialT(t, addr)
-		if _, err := cc2.RoundTrip(&Request{Catalog: true}); err == nil {
-			t.Error("round trip succeeded during shutdown")
-		}
-	}
+	return d
+}
 
-	release <- struct{}{}
-	if err := <-inflight; err != nil {
+// finish checks that the parked request was answered and Shutdown returned
+// cleanly; release must have been signalled first.
+func (d *draining) finish(t *testing.T) {
+	t.Helper()
+	if err := <-d.inflight; err != nil {
 		t.Errorf("in-flight request was not drained: %v", err)
 	}
-	if err := <-shutdownDone; err != nil {
+	if err := <-d.shutdownDone; err != nil {
 		t.Errorf("shutdown: %v", err)
 	}
+}
+
+// TestNetServerGracefulShutdownDrains: while the server drains, no new
+// connection completes a round trip, and the parked request is still
+// answered before Shutdown returns.
+func TestNetServerGracefulShutdownDrains(t *testing.T) {
+	d := startDraining(t)
+	// Accept may race with the listener close; what matters is that no new
+	// connection completes a round trip during the drain.
+	if conn, err := net.Dial("tcp", d.addr); err == nil {
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		if bc2, err := NewBinaryClientConn(conn); err == nil {
+			if _, err := bc2.RoundTrip(&Request{Catalog: true}); err == nil {
+				t.Error("round trip succeeded during shutdown")
+			}
+		}
+		conn.Close()
+	}
+	d.release <- struct{}{}
+	d.finish(t)
 }
 
 func TestNetServerShutdownTimeoutForcesClose(t *testing.T) {
@@ -195,8 +215,8 @@ func TestNetServerShutdownTimeoutForcesClose(t *testing.T) {
 		<-release
 		return &Response{}, nil
 	})
-	cc := dialT(t, addr)
-	go func() { _, _ = cc.RoundTrip(&Request{}) }()
+	bc := dialBinary(t, addr)
+	go func() { _, _ = bc.RoundTrip(&Request{}) }()
 	<-started
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"math"
-	"net"
 	"testing"
 
 	"repro/internal/geom"
@@ -121,62 +120,5 @@ func TestCutElemRef(t *testing.T) {
 	e = CutElem{Obj: 4, MBR: geom.R(0, 0, 1, 1)}
 	if r := e.Ref(7); r.Kind != query.RefObject || r.Obj != 4 {
 		t.Errorf("obj ref = %+v", r)
-	}
-}
-
-// TestCodecRoundTripTCP exercises the gob transport over a real socket.
-func TestCodecRoundTripTCP(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer conn.Close()
-		done <- ServeConn(conn, func(req *Request) (*Response, error) {
-			return &Response{
-				K: req.Q.K,
-				Objects: []ObjectRep{
-					{ID: 42, Size: 10, Payload: true, MBR: geom.R(0, 0, 1, 1)},
-				},
-				Index: []NodeRep{{ID: 3, Level: 1, Elems: []CutElem{{Code: "0", Super: true}}}},
-			}, nil
-		})
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewClientConn(conn)
-	req := &Request{
-		Client: 5,
-		Q:      query.NewKNN(geom.Pt(0.25, 0.75), 4),
-		H: []query.QueuedElem{
-			{Key: 0.5, Elem: query.Single(query.SuperRef(9, "011", geom.R(0, 0, 0.5, 0.5))), Deferred: true},
-		},
-	}
-	for i := 0; i < 3; i++ {
-		resp, err := tr.RoundTrip(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.K != 4 || len(resp.Objects) != 1 || resp.Objects[0].ID != 42 {
-			t.Fatalf("bad response: %+v", resp)
-		}
-		if len(resp.Index) != 1 || !resp.Index[0].Elems[0].Super {
-			t.Fatalf("index lost in transit: %+v", resp.Index)
-		}
-	}
-	conn.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("server: %v", err)
 	}
 }

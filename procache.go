@@ -273,41 +273,6 @@ func (s *Server) Handler() wire.Handler {
 	}
 }
 
-// BatchHandler returns the server's batched request handler for
-// wire.ServeConfig.HandleBatch: the serving layer hands it runs of
-// pipelined requests drained from one connection, update messages are
-// answered through the single-writer path, and everything else goes through
-// server.ExecuteBatch, which runs groupable range queries in one shared
-// traversal of the packed index image.
-func (s *Server) BatchHandler() wire.BatchHandler {
-	return func(reqs []*wire.Request) ([]*wire.Response, []error) {
-		resps := make([]*wire.Response, len(reqs))
-		var errs []error
-		qIdx := make([]int, 0, len(reqs))
-		qreqs := make([]*wire.Request, 0, len(reqs))
-		for i, req := range reqs {
-			if len(req.Updates) > 0 {
-				if err := s.rejectUpdate(req); err != nil {
-					if errs == nil {
-						errs = make([]error, len(reqs))
-					}
-					errs[i] = err
-					continue
-				}
-				resps[i] = s.inner.ExecuteUpdates(req)
-				continue
-			}
-			qIdx = append(qIdx, i)
-			qreqs = append(qreqs, req)
-		}
-		qresps, _ := s.inner.ExecuteBatch(qreqs)
-		for j, i := range qIdx {
-			resps[i] = qresps[j]
-		}
-		return resps, errs
-	}
-}
-
 // ApplyUpdates applies a batch of index updates through the single-writer
 // queue, blocking until the batch's snapshot is published. It returns one
 // applied/failed flag per operation. Unlike the single-object facade
@@ -350,15 +315,12 @@ func (s *Server) NetServer(opts ServeOptions) *wire.NetServer {
 		// Responses are recycled once their bytes are on the wire, keeping
 		// the warm serving path allocation-free end to end.
 		Release: s.inner.ReleaseResponse,
-		// Pipelined bursts drain into grouped execution (server-side batching
-		// over the packed index image).
-		HandleBatch: s.BatchHandler(),
 	})
 }
 
 // Serve answers proactive-caching clients on a listener with default
 // options until the listener closes (the TCP wire protocol of cmd/prodb:
-// binary with pipelining, gob as negotiated fallback). It blocks. For
+// binary with pipelining). It blocks. For
 // shutdown control, use NetServer instead.
 func (s *Server) Serve(ln net.Listener) error {
 	if err := s.NetServer(ServeOptions{}).Serve(ln); err != nil && err != wire.ErrServerClosed {
@@ -455,11 +417,11 @@ func (c *Client) CacheUsed() int { return c.inner.Cache().Used() }
 // CacheIndexBytes returns the bytes of cached index (vs objects).
 func (c *Client) CacheIndexBytes() int { return c.inner.Cache().IndexBytes() }
 
-// Dial connects to a cmd/prodb server over TCP and returns a Transport.
-// It negotiates the compact binary protocol (pipelined: concurrent
-// RoundTrip calls share the connection with many requests in flight) and
-// falls back to the serial gob protocol when the server predates the binary
-// codec. The returned Transport is safe for concurrent use either way.
+// Dial connects to a cmd/prodb server over TCP and returns a Transport
+// speaking the compact binary protocol, pipelined: concurrent RoundTrip calls
+// share the connection with many requests in flight. The handshake must
+// complete within 10 seconds; a peer that hangs up, answers garbage or stays
+// silent fails the dial with an error wrapping wire.ErrProtocolMismatch.
 func Dial(addr string) (Transport, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -467,25 +429,12 @@ func Dial(addr string) (Transport, error) {
 	}
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	bc, err := wire.NewBinaryClientConn(conn)
-	if err == nil {
-		conn.SetDeadline(time.Time{})
-		return bc, nil
-	}
-	// A gob-only server chokes on the binary preamble and hangs up, which
-	// surfaces here as a handshake error; redial and speak gob.
-	conn.Close()
-	return DialGob(addr)
-}
-
-// DialGob connects with the serial gob protocol, skipping binary
-// negotiation. Useful against old servers or for comparing the two paths;
-// new code should prefer Dial.
-func DialGob(addr string) (Transport, error) {
-	conn, err := net.Dial("tcp", addr)
 	if err != nil {
+		conn.Close()
 		return nil, fmt.Errorf("repro: dial %s: %w", addr, err)
 	}
-	return wire.NewClientConn(conn), nil
+	conn.SetDeadline(time.Time{})
+	return bc, nil
 }
 
 // GenerateNE and GenerateRD expose the synthetic datasets used by the

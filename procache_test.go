@@ -1,11 +1,13 @@
 package repro
 
 import (
-	"encoding/gob"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/wire"
 )
 
@@ -144,26 +146,18 @@ func TestWireUpdatesOverTCP(t *testing.T) {
 	}
 }
 
-// oldEnvelope mirrors the gob message shape of pre-binary servers (gob
-// matches struct fields by name, so the type name is irrelevant).
-type oldEnvelope struct {
-	Req  *wire.Request
-	Resp *wire.Response
-	Err  string
-}
-
-// TestDialFallsBackToGob dials a simulated pre-binary server: a gob-only
-// loop that chokes on the binary preamble (gob parses it as an absurd
-// message length and hangs up, exactly like an old prodb would). Dial must
-// fail the binary handshake quickly and transparently redial with gob.
-func TestDialFallsBackToGob(t *testing.T) {
-	srv := NewServer(testObjects()[:300], ServerConfig{})
-	handler := srv.Handler()
+// fakePeer accepts connections, reads the client's 9-byte handshake
+// preamble and then misbehaves as told: "hangup" closes the connection,
+// "garbage" answers nine bytes that are not a preamble, "silent" never
+// answers.
+func fakePeer(t *testing.T, mode string) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done); ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -172,43 +166,54 @@ func TestDialFallsBackToGob(t *testing.T) {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				enc := gob.NewEncoder(c)
-				dec := gob.NewDecoder(c)
-				for {
-					var env oldEnvelope
-					if dec.Decode(&env) != nil {
-						return
-					}
-					if env.Req == nil {
-						continue
-					}
-					resp, _ := handler(env.Req)
-					if enc.Encode(oldEnvelope{Resp: resp}) != nil {
-						return
-					}
+				if _, err := io.ReadFull(c, make([]byte, 9)); err != nil {
+					return
 				}
+				switch mode {
+				case "garbage":
+					c.Write([]byte("HTTP/1.1 "))
+				case "silent":
+				case "hangup":
+					return
+				}
+				<-done
 			}(conn)
 		}
 	}()
+	return ln.Addr().String()
+}
 
-	start := time.Now()
-	tr, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial with gob fallback: %v", err)
+// TestDialFailsOnHandshakeMismatch: a peer that does not complete the binary
+// handshake fails the dial with wire.ErrProtocolMismatch, for the facade's
+// Dial and for the cluster router's shard dial alike — there is no other
+// protocol to fall back to, and a dial must never hand back a transport
+// whose first round trip would hang.
+func TestDialFailsOnHandshakeMismatch(t *testing.T) {
+	for _, mode := range []string{"hangup", "garbage"} {
+		t.Run("Dial/"+mode, func(t *testing.T) {
+			tr, err := Dial(fakePeer(t, mode))
+			if !errors.Is(err, wire.ErrProtocolMismatch) || tr != nil {
+				t.Fatalf("Dial = (%v, %v), want (nil, ErrProtocolMismatch)", tr, err)
+			}
+		})
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("fallback took %v; the poison preamble should fail the binary probe immediately", elapsed)
-	}
-	cl, err := NewClient(tr, ClientConfig{CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cl.Query(NewKNN(Pt(0.4, 0.4), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("fallback knn got %d results", len(rep.Results))
+	for _, mode := range []string{"hangup", "garbage", "silent"} {
+		t.Run("cluster.Dial/"+mode, func(t *testing.T) {
+			good := NewServer(testObjects()[:300], ServerConfig{})
+			defer good.Close()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = good.Serve(ln) }()
+			defer ln.Close()
+
+			r, err := cluster.Dial([]string{ln.Addr().String(), fakePeer(t, mode)},
+				cluster.Config{HandshakeTimeout: 300 * time.Millisecond})
+			if !errors.Is(err, wire.ErrProtocolMismatch) || r != nil {
+				t.Fatalf("cluster.Dial = (%v, %v), want (nil, ErrProtocolMismatch)", r, err)
+			}
+		})
 	}
 }
 
